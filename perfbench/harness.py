@@ -59,23 +59,9 @@ def median(values: List[float]) -> float:
     return statistics.median(values)
 
 
-def rss_mb(pids: Iterable[int] = ()) -> float:
-    """Peak resident memory of this process plus the given live children, MB.
-
-    Children are read from ``/proc/<pid>/status`` (``VmHWM``) while they
-    are alive; the sum bounds their simultaneous peak from above.
-    """
-    total_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    for pid in pids:
-        try:
-            with open(f"/proc/{pid}/status") as fh:
-                for line in fh:
-                    if line.startswith("VmHWM:"):
-                        total_kb += int(line.split()[1])
-                        break
-        except OSError:
-            continue
-    return total_kb / 1024.0
+def rss_mb() -> float:
+    """Peak resident memory of this process, MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class TimedValues:
@@ -164,34 +150,31 @@ def tail_level(q: float, n: int) -> float:
     return min(q, 1.0 - 10.0 / n)
 
 
-def level_metric(run: Run, name: str, groups: List[List[float]],
-                 q: float) -> None:
-    """Record the median over ``groups`` of each group's ``q`` level, in ms.
+def latency_metrics(run: Run, groups: List[List[float]],
+                    tail_n: int) -> None:
+    """Median and tail of per-operation latencies (seconds in, ms out).
 
-    A level never rests on fewer than ten samples beyond it: in a group
-    of n samples it is min(q, 1 - 10/n), and the notes say when that is
-    lower than ``q``.
+    ``latency_p50_ms`` is the median over ``groups`` (sample lists measured
+    apart: per pass, or per 100 requests) of each group's median, so one
+    slow pass or one noisy spell moves it little.  ``latency_p99_ms`` is
+    read from all samples at the p99, or at the highest level with ten
+    samples beyond it among ``tail_n``, the fewest samples any full run of
+    the workload takes; the level is thus fixed per workload, not moved by
+    how many samples one run happened to get.
     """
-    levels = [tail_level(q, len(g)) for g in groups]
-    run.metric(name, median([quantile(g, lv) * 1e3
-                             for g, lv in zip(groups, levels)]), "ms")
-    if min(levels) < q:
-        run.notes.append(f"{name} is the p{100 * min(levels):.1f} level "
-                         f"(ten samples beyond it)")
-
-
-def latency_metrics(run: Run, groups: List[List[float]]) -> None:
-    """p50, p90 and p99 of per-operation latencies (seconds in, ms out).
-
-    ``groups`` are sample lists measured apart (per pass, segment or
-    window); each level is the median over groups of the group's level,
-    so one slow pass or one noisy spell moves it little.
-    """
-    for name, q in (("latency_p50_ms", 0.50), ("latency_p90_ms", 0.90),
-                    ("latency_p99_ms", 0.99)):
-        level_metric(run, name, groups, q)
-    run.notes.append(f"latency samples: {sum(map(len, groups))} "
-                     f"in {len(groups)} group(s)")
+    groups = [g for g in groups if g]
+    samples = [x for g in groups for x in g]
+    if not samples:  # every operation failed before it was timed
+        run.metric("latency_p50_ms", 0.0, "ms")
+        run.metric("latency_p99_ms", 0.0, "ms")
+        return
+    run.metric("latency_p50_ms",
+               median([quantile(g, 0.5) for g in groups]) * 1e3, "ms")
+    level = tail_level(0.99, min(tail_n, len(samples)))
+    run.metric("latency_p99_ms", quantile(samples, level) * 1e3, "ms")
+    run.notes.append(f"latency samples: {len(samples)} in {len(groups)} "
+                     f"group(s); latency_p99_ms is the p{100 * level:.1f} "
+                     f"level")
 
 
 def chunks(samples: List[float], size: int) -> List[List[float]]:

@@ -7,10 +7,6 @@ around layer entry points the program does not span itself
 time (its wall time minus its children's) to exactly one layer, so the
 self times of one pass partition that pass's wall time; what no layer
 claims is reported as ``obs.unattributed_s``.
-
-Spans grafted from pool workers (they carry a ``worker`` attribute) ran
-in another process at the same time as the parent waited; they are kept
-out of the partition and summed into ``pool.worker_busy_s`` instead.
 """
 
 from __future__ import annotations
@@ -44,13 +40,6 @@ PER_LAYER: List[Tuple[str, str, str]] = [
     ("plan.cache_hit_ratio", "ratio", "higher"),
     ("plan.table_hit_ratio", "ratio", "higher"),
     ("plan.launch_memo_hits", "count", "lower"),
-    ("pool.ship_s", "s", "lower"),
-    ("pool.shipments", "count", "lower"),
-    ("pool.worker_busy_s", "s", "lower"),
-    ("pool.wait_s", "s", "lower"),
-    ("pool.worker_utilization", "ratio", "higher"),
-    ("pool.input_bytes", "B", "lower"),
-    ("dispatch.self_s", "s", "lower"),
     ("pim.model_s", "s", "lower"),
     ("pim.sim_seconds", "s", "lower"),
     ("serve.batches", "count", "lower"),
@@ -60,7 +49,6 @@ PER_LAYER: List[Tuple[str, str, str]] = [
     ("serve.plan_builds", "count", "lower"),
     ("serve.singleflight_followers", "count", "higher"),
     ("serve.generator_lag_p99_ms", "ms", "lower"),
-    ("serve.open_loop_p99_ms", "ms", "lower"),
     ("workloads.self_s", "s", "lower"),
     ("obs.trace_overhead_s", "s", "lower"),
     ("obs.unattributed_s", "s", "lower"),
@@ -81,13 +69,9 @@ LAYER_OF_SPAN: Dict[str, str] = {
     "dpu.trace": "batch.trace_s",
     "plan.compile": "plan.compile_s",
     "plan.execute": "plan.execute_s",
-    "shard.execute": "plan.execute_s",
     "session.launch": "plan.execute_s",
     "session.stream": "plan.execute_s",
     "bench.plan.execute_plan": "plan.execute_s",
-    "dispatch.run": "dispatch.self_s",
-    "shard": "dispatch.self_s",
-    "bench.pool.ship": "pool.ship_s",
     "host_to_pim": "pim.model_s",
     "kernel": "pim.model_s",
     "pim_to_host": "pim.model_s",
@@ -101,18 +85,9 @@ LAYER_OF_SPAN: Dict[str, str] = {
     "reduce": "workloads.self_s",
 }
 
-#: Spans that start one simulated launch (their ``sim_seconds`` attr is
-#: the launch's simulated total).
-_LAUNCH_SPANS = ("plan.execute", "shard.execute")
-
-
-def _grafted(span) -> bool:
-    return "worker" in span.attrs
-
 
 def _self_ns(span) -> int:
-    return span.duration_ns - sum(c.duration_ns for c in span.children
-                                  if not _grafted(c))
+    return span.duration_ns - sum(c.duration_ns for c in span.children)
 
 
 class Instrument:
@@ -123,8 +98,7 @@ class Instrument:
     * ``Method.setup`` — every host table build (``bench.core.setup``),
       counting tables, bytes and builds over ``budget`` bytes;
     * ``ExecutionPlan.values`` — the fused evaluator's value path;
-    * ``PlanSession.execute_plan`` — the serve layer's launch path;
-    * ``ShardPool.ship`` — plan shipping to pool workers.
+    * ``PlanSession.execute_plan`` — the serve layer's launch path.
     """
 
     def __init__(self, budget: Optional[int] = None):
@@ -141,12 +115,11 @@ class Instrument:
         from repro.core.method import Method
         from repro.obs import span
         from repro.plan.plan import ExecutionPlan
-        from repro.plan.pool import ShardPool
         from repro.plan.session import PlanSession
 
         inst = self
         setup, values = Method.setup, ExecutionPlan.values
-        execute_plan, ship = PlanSession.execute_plan, ShardPool.ship
+        execute_plan = PlanSession.execute_plan
 
         def traced_setup(method, memory=None):
             outer = inst._depth == 0
@@ -175,18 +148,12 @@ class Instrument:
             with span("bench.plan.execute_plan"):
                 return execute_plan(session, *args, **kwargs)
 
-        def traced_ship(pool, plan):
-            with span("bench.pool.ship"):
-                return ship(pool, plan)
-
         self._saved = [(Method, "setup", setup),
                        (ExecutionPlan, "values", values),
-                       (PlanSession, "execute_plan", execute_plan),
-                       (ShardPool, "ship", ship)]
+                       (PlanSession, "execute_plan", execute_plan)]
         Method.setup = traced_setup
         ExecutionPlan.values = traced_values
         PlanSession.execute_plan = traced_execute_plan
-        ShardPool.ship = traced_ship
         return self
 
     def __exit__(self, *exc) -> None:
@@ -199,35 +166,18 @@ def _ratio(hits: float, misses: float) -> float:
     return hits / (hits + misses) if hits + misses else 0.0
 
 
-def rollup(tracer, registry, inst: Instrument,
-           workers: int = 0) -> Dict[str, float]:
-    """Per-layer metrics over every span and counter of a traced run.
-
-    ``workers`` is the pool size, for ``pool.worker_utilization`` (busy
-    worker seconds over pooled dispatch seconds times workers).
-    """
+def rollup(tracer, registry, inst: Instrument) -> Dict[str, float]:
+    """Per-layer metrics over every span and counter of a traced run."""
     out = {name: 0.0 for name, _, _ in PER_LAYER}
     self_ns: Dict[str, int] = {}
     sim_seconds = 0.0
-    busy_ns = 0
-    wait_ns = 0
-    dispatch_ns = 0
     stack = list(tracer.roots)
     while stack:
         s = stack.pop()
-        if _grafted(s):
-            busy_ns += s.duration_ns
-            sim_seconds += float(s.attrs.get("sim_seconds", 0.0))
-            continue
         layer = LAYER_OF_SPAN.get(s.name, "obs.unattributed_s")
         self_ns[layer] = self_ns.get(layer, 0) + _self_ns(s)
-        if s.name in _LAUNCH_SPANS:
+        if s.name == "plan.execute":  # one simulated launch
             sim_seconds += float(s.attrs.get("sim_seconds", 0.0))
-        if s.name == "dispatch.run" and s.attrs.get("pooled"):
-            tasks = [g.duration_ns for shard in s.children
-                     for g in shard.children if _grafted(g)]
-            dispatch_ns += s.duration_ns
-            wait_ns += s.duration_ns - max(tasks, default=0)
         stack.extend(s.children)
     for layer, ns in self_ns.items():
         out[layer] = ns / 1e9
@@ -250,11 +200,6 @@ def rollup(tracer, registry, inst: Instrument,
         "plan.table_hit_ratio": _ratio(v("plancache.table_hits"),
                                        v("plancache.table_misses")),
         "plan.launch_memo_hits": v("plan.launch_memo.hits"),
-        "pool.shipments": v("dispatch.pool.shipments"),
-        "pool.worker_busy_s": busy_ns / 1e9,
-        "pool.wait_s": wait_ns / 1e9,
-        "pool.worker_utilization": busy_ns / (dispatch_ns * workers)
-        if dispatch_ns and workers else 0.0,
         "pim.sim_seconds": sim_seconds,
     })
     return out
@@ -267,8 +212,6 @@ def pass_coverage(tracer) -> Tuple[float, float]:
     stack = [root]
     while stack:
         s = stack.pop()
-        if _grafted(s):
-            continue
         if s.name not in LAYER_OF_SPAN:
             unattributed += _self_ns(s)
         stack.extend(s.children)
@@ -292,8 +235,7 @@ def span_seconds(tracer, names) -> float:
 #: One-time preparation: a traced run reports these over its set-up and
 #: its traced pass together; every other metric covers the pass alone.
 SETUP_METRICS = ("core.table_build_s", "core.tables_built",
-                 "core.table_bytes_built", "plan.compile_s", "pool.ship_s",
-                 "pool.shipments")
+                 "core.table_bytes_built", "plan.compile_s")
 
 
 class Traced:
@@ -320,11 +262,11 @@ class Traced:
                 yield
         self.phases[name] = parts
 
-    def metrics(self, workers: int = 0) -> Dict[str, float]:
+    def metrics(self) -> Dict[str, float]:
         tracer, registry, inst = self.phases["pass"]
-        out = rollup(tracer, registry, inst, workers)
+        out = rollup(tracer, registry, inst)
         if "setup" in self.phases:
-            before = rollup(*self.phases["setup"], workers)
+            before = rollup(*self.phases["setup"])
             for name in SETUP_METRICS:
                 out[name] += before[name]
         out["obs.unattributed_s"], out["obs.layer_coverage"] = \

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload figures --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload figures --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off; ``--trace 1``
 runs the workload once under ``repro.obs`` tracing and reports the
@@ -27,7 +27,6 @@ WORKLOADS = {
     "figures": "wl_figures",
     "recommend-sin": "wl_recommend",
     "serve-mixed": "wl_serve",
-    "pool-stream": "wl_pool",
 }
 
 
@@ -35,7 +34,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", default=os.path.join(HERE, "out"),
                     help="where --trace 1 writes its JSON and Chrome trace")

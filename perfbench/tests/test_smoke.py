@@ -4,9 +4,10 @@ Run from the repository root::
 
     python3 -m pytest perfbench/tests -q
 
-Each workload must finish with its checks passing; a seeded defect in a
-served value or a pooled result must fail the matching check and be
-counted; the seed must change the inputs but not the checked properties.
+Each workload must finish with its checks passing; a seeded defect (a
+perturbed served value, a failed ordering, a failed call) must fail the
+matching check and be counted; the seed must change the inputs but not
+the checked properties.
 """
 
 import asyncio
@@ -20,7 +21,6 @@ import pytest
 
 import layers
 import wl_figures
-import wl_pool
 import wl_recommend
 import wl_serve
 from harness import Run
@@ -51,10 +51,6 @@ def test_serve_completes():
     _assert_clean(wl_serve.measure(1, 0.5, 0.0, wl_serve.TINY))
 
 
-def test_pool_completes():
-    _assert_clean(wl_pool.measure(1, 0.0, 0.0, wl_pool.TINY))
-
-
 def test_traced_figures_partitions_the_pass():
     run = wl_figures.traced(1, wl_figures.TINY)
     assert run.correct
@@ -83,19 +79,25 @@ def test_perturbed_served_value_is_caught():
     assert not run.correct
 
 
-def test_perturbed_pooled_result_is_caught():
-    cfg = wl_pool.TINY
-    stream = wl_pool.Stream(cfg)
-    try:
-        inputs = wl_pool.round_inputs(1, 0, cfg)
-        results = wl_pool.one_round(stream, inputs, [])
-        outputs = results[2].shards[1].result.per_dpu.sample_outputs
-        outputs[0] = np.nextafter(outputs[0], np.float32(np.inf))
-        run = Run()
-        wl_pool.check_round(run, stream, inputs, results)
-    finally:
-        stream.close()
-    assert run.failed == 1
+def test_failed_check_rows_are_counted():
+    rows = [
+        type("Row", (), dict(workload=w, config=c, seconds=1.0))
+        for w in ("blackscholes", "sigmoid", "softmax")
+        for c in ("cpu_1t", "cpu_32t", "pim_poly", "pim_llut_i",
+                  "pim_llut_i_fx")]
+    run = Run()
+    wl_figures.check_fig9(run, rows)  # all equal: every strict order fails
+    assert run.failed == 11
+    assert not run.correct
+
+
+def test_failed_recommend_call_is_counted(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("seeded failure")
+
+    monkeypatch.setattr(wl_recommend.R, "recommend", broken)
+    run = wl_recommend.measure(1, 0.0, 0.0, wl_recommend.TINY)
+    assert run.attempted == run.failed > 0
     assert not run.correct
 
 
@@ -107,8 +109,6 @@ def test_seed_changes_inputs_not_properties():
     assert not np.array_equal(wl_figures.pass_inputs(1, 1, cfg), a)
     assert wl_serve.draw(np.random.default_rng(1), 4)[0][1].tobytes() != \
         wl_serve.draw(np.random.default_rng(2), 4)[0][1].tobytes()
-    assert not np.array_equal(wl_pool.round_inputs(1, 0, wl_pool.TINY)[0][0],
-                              wl_pool.round_inputs(2, 0, wl_pool.TINY)[0][0])
     runs = [wl_figures.measure(seed, 0.0, 0.0, cfg) for seed in (1, 2)]
     assert all(r.correct for r in runs)
     assert runs[0].checks == runs[1].checks

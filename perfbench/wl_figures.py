@@ -7,11 +7,12 @@ placements into one fresh ``PlanCache``, exactly the loop of
 2^16 inputs are drawn fresh from the seed for every pass, and the cache
 is new every pass, so every table is built and no memo from an earlier
 pass can serve a later one.  Host table build and RMSE evaluation
-dominate; serve and pool do nothing here.
+dominate; the serve layer does nothing here.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -35,7 +36,7 @@ PLACEMENTS = ("mram", "wram")
 RMSE_FLOOR = 2e-7
 #: sweep_method's defaults, which the RMSE re-check must use to find the
 #: pass's cached plans again.
-SWEEP_TASKLETS, SWEEP_SAMPLE = 16, 32
+_SWEEP_PARAMS = inspect.signature(sweep_method).parameters
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,9 @@ def check_rmse(run: Run, p: Pass, cfg: Config) -> None:
     for point in p.points:
         m = make_method("sin", point.method, placement=point.placement,
                         assume_in_range=True, **_params(point, cfg))
-        plan = p.cache.plan(system, m, tasklets=SWEEP_TASKLETS,
-                            sample_size=SWEEP_SAMPLE)
+        plan = p.cache.plan(system, m,
+                            tasklets=_SWEEP_PARAMS["tasklets"].default,
+                            sample_size=_SWEEP_PARAMS["sample_size"].default)
         approx = plan.memo.get("sweep_rmse_approx")
         if approx is None:
             bad += 1
@@ -145,6 +147,7 @@ def check_properties(run: Run, p: Pass) -> None:
     rising = [(k, a.param, b.param) for k, pts in curves.items()
               for a, b in zip(pts, pts[1:])
               if b.rmse > max(a.rmse, RMSE_FLOOR)]
+    run.failed += len(rising)
     run.check("rmse_monotone", not rising, f"rises at {rising[:3]}")
 
     # WRAM rows equal MRAM rows in RMSE and cost no more cycles.
@@ -167,23 +170,26 @@ def check_properties(run: Run, p: Pass) -> None:
         iters = [int(q.param.split("=")[1]) for q in pts]
         steps = [(b.cycles_per_element - a.cycles_per_element) / (j - i)
                  for a, b, i, j in zip(pts, pts[1:], iters, iters[1:])]
-        run.check("cordic_constant_step",
-                  all(math.isclose(s, steps[0], rel_tol=1e-9)
-                      for s in steps),
+        odd = sum(not math.isclose(s, steps[0], rel_tol=1e-9)
+                  for s in steps)
+        run.failed += odd
+        run.check("cordic_constant_step", odd == 0,
                   f"{method}/{placement} steps {steps}")
 
 
 def check_fig9(run: Run, rows) -> None:
     """The paper's Figure 9 orderings."""
     t = {(r.workload, r.config): r.seconds for r in rows}
-    ok = True
+    held = []
     for wl in ("blackscholes", "sigmoid", "softmax"):
-        ok &= t[wl, "cpu_32t"] < t[wl, "cpu_1t"]
-        ok &= t[wl, "pim_poly"] > t[wl, "pim_llut_i"]
-        ok &= t[wl, "pim_llut_i"] < t[wl, "cpu_1t"]
-    ok &= t["blackscholes", "pim_llut_i_fx"] < t["blackscholes", "cpu_32t"]
-    ok &= t["sigmoid", "cpu_32t"] < t["sigmoid", "pim_llut_i"]
-    run.check("fig9_orderings", ok)
+        held += [t[wl, "cpu_32t"] < t[wl, "cpu_1t"],
+                 t[wl, "pim_poly"] > t[wl, "pim_llut_i"],
+                 t[wl, "pim_llut_i"] < t[wl, "cpu_1t"]]
+    held += [t["blackscholes", "pim_llut_i_fx"] < t["blackscholes", "cpu_32t"],
+             t["sigmoid", "cpu_32t"] < t["sigmoid", "pim_llut_i"]]
+    run.failed += held.count(False)
+    run.check("fig9_orderings", all(held),
+              f"{held.count(False)} of {len(held)} orderings fail")
 
 
 def check_pass(run: Run, p: Pass, cfg: Config) -> None:
@@ -230,7 +236,7 @@ def measure(seed: int, seconds: float, import_s: float,
     run.metric("setup_s", setup_seconds(import_s, reps), "s")
     run.metric("pass_s", median(walls), "s")
     run.metric("throughput_rps", n_points / sum(walls), "1/s")
-    latency_metrics(run, latencies)
+    latency_metrics(run, latencies, MIN_PASSES * max(map(len, latencies)))
     run.metric("peak_rss_mb", rss_mb(), "MB")
     run.notes.append(f"passes: {len(walls)}")
     return run

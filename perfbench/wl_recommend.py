@@ -34,8 +34,6 @@ FUNCTION = "sin"
 #: factor: ``recommend`` measured it on 4096 points, the check uses 2^16.
 RMSE_MARGIN = 1.25
 N_HELD_OUT = 1 << 16
-#: Constructor knobs ``recommend``'s grids add next to the swept one.
-EXTRA_PARAMS = {"cordic_lut": {"lut_bits": 8}}
 #: The module, not the same-named function ``repro.analysis`` re-exports:
 #: the pass times the sweep points by wrapping its ``sweep_method``.
 R = importlib.import_module("repro.analysis.recommend")
@@ -88,7 +86,7 @@ def check_picks(run: Run, picks, req, xs: np.ndarray) -> None:
     reference = np.sin(xs.astype(np.float64))
     for p in picks:
         name, value = p.param.split("=")
-        params = dict(EXTRA_PARAMS.get(p.method, {}))
+        params = dict(R._GRIDS[p.method][2] or {})
         params[name] = int(value)
         if p.method == "slut_i":
             params["target_rmse"] = req.rmse_target
@@ -116,14 +114,21 @@ def measure(seed: int, seconds: float, import_s: float,
     latencies: List[List[float]] = []  # sweep-point latencies, per pass
     while len(walls) < MIN_PASSES or now() - start < seconds:
         latencies.append([])
-        with pass_window() as w:
-            picks = one_pass(req, latencies[-1])
+        try:
+            with pass_window() as w:
+                picks = one_pass(req, latencies[-1])
+        except Exception as exc:  # a failed call is counted, not fatal
+            run.attempted += 1
+            run.failed += 1
+            run.check("recommend_completes", False, repr(exc))
+            picks = None
         walls.append(w.elapsed)
-        check_picks(run, picks, req, xs)
+        if picks is not None:
+            check_picks(run, picks, req, xs)
     run.metric("setup_s", setup_seconds(import_s, reps), "s")
     run.metric("pass_s", median(walls), "s")
     run.metric("throughput_rps", sum(map(len, latencies)) / sum(walls), "1/s")
-    latency_metrics(run, latencies)
+    latency_metrics(run, latencies, MIN_PASSES * max(map(len, latencies)))
     run.metric("peak_rss_mb", rss_mb(), "MB")
     run.notes.append(f"passes: {len(walls)}")
     return run

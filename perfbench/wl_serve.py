@@ -2,17 +2,19 @@
 
 One long-lived :class:`repro.serve.Server`, its six lane plans built
 during set-up, serves the ``MIXED_PROFILE`` mix (six kernels, 8-96
-elements per request) from one asyncio process with no threads:
+elements per request) from one asyncio process with no threads, in two
+phases that alternate through the run:
 
 * a closed loop of ``clients`` logical clients, each sending its next
   request when the previous one returns, in rounds of
-  ``clients x requests_per_client`` requests (``pass_s`` is a round,
-  ``throughput_rps`` the phase's completed requests per second);
+  ``clients x requests_per_client`` requests (``throughput_rps`` is the
+  phase's completed requests per second; ``pass_s``, the median round,
+  restates it);
 * an open loop at one fixed rate, well below the closed-loop throughput,
   in segments of ``rate x segment_s`` requests.  Each request is timed
   from when it was due, so a stalled generator shows up in the latency,
-  and the generator's own lateness is recorded.  ``latency_p50_ms`` is
-  the open loop's; the tail slots are the closed loop's (see ``measure``).
+  and the generator's own lateness is recorded.  The latency metrics are
+  the open loop's.
 
 Every round and segment draws fresh request contents from the seed.
 Serve-layer admission, coalescing and scatter plus the fused evaluator
@@ -34,7 +36,7 @@ from repro.isa.counter import CycleCounter
 from repro.plan.session import PlanSession
 from repro.serve import MIXED_PROFILE, ServeConfig, Server
 
-from harness import (SETUP_REPS, Run, chunks, level_metric, median, now,
+from harness import (SETUP_REPS, Run, chunks, latency_metrics, median, now,
                      pass_window, quantile, rss_mb, setup_seconds)
 
 _F32 = np.float32
@@ -51,16 +53,17 @@ class Config:
     rate: float = 250.0
     #: Requests are drawn and sent in segments of rate x segment_s.
     segment_s: float = 4.0
-    #: Share of the run spent in the closed loop; the open loop gets the
-    #: rest.
-    closed_share: float = 0.25
-    #: Served responses per round or segment re-evaluated by the oracle.
-    oracle_per_pass: int = 2
 
 
-#: Open-loop requests per latency group (in completion order); the
-#: median over groups is reported.
+#: Share of the run spent in the closed loop; the open loop gets the rest.
+CLOSED_SHARE = 0.25
+#: Served responses per round or segment re-evaluated by the oracle.
+ORACLE_PER_PASS = 2
+#: Open-loop requests per latency group (in completion order) for the
+#: median; the p99 is read from all of them, ten samples beyond it in
+#: every 1000.
 GROUP = 100
+TAIL_N = 1000
 
 TINY = Config(clients=4, requests_per_client=2, rate=200.0, segment_s=0.1)
 
@@ -138,8 +141,10 @@ async def open_segment(server: Server, reqs, keep: set, rate: float) -> Served:
             tasks.append(asyncio.ensure_future(
                 _submit(server, spec, xs, due, out, i in keep)))
             i += 1
-        if i < len(reqs):
-            await asyncio.sleep(max(0.0, t0 + i / rate - now()))
+        # Poll rather than sleep until the next request is due: a timer
+        # wake-up of the idle loop is late by about a millisecond (more
+        # on a busy host), which would time the machine, not the server.
+        await asyncio.sleep(0)
     await asyncio.gather(*tasks)
     return out
 
@@ -192,27 +197,30 @@ async def _measure(seed: int, seconds: float, cfg: Config, run: Run):
         reps.append(now() - t0)
 
     per_round = cfg.clients * cfg.requests_per_client
-    rounds, closed, records = [], [], []  # closed: latencies per round
-    start = now()
-    while not rounds or now() - start < seconds * cfg.closed_share:
-        rng = _rng(seed, 0, len(rounds))
-        reqs = draw(rng, per_round)
-        keep = _oracle_picks(rng, per_round, cfg.oracle_per_pass)
-        with pass_window() as w:
-            out = await closed_round(server, reqs, keep, cfg.clients)
-        rounds.append(w.elapsed)
-        closed.append(out.latencies)
-        records += out.records
-        _account(run, out, per_round)
-
     per_segment = max(1, int(cfg.rate * cfg.segment_s))
-    latencies, lags = [], []
+    closed_s = cfg.segment_s * CLOSED_SHARE / (1 - CLOSED_SHARE)
+    rounds, closed, records = [], [], []  # closed: latencies per round
+    latencies, lags = [], []  # latencies per open segment
     start = now()
-    while not latencies or \
-            now() - start < seconds * (1 - cfg.closed_share):
+    while not latencies or now() - start < seconds:
+        # The phases alternate (closed rounds, then one open segment), so
+        # both sample the whole run rather than one spell of the machine.
+        t = now()
+        while True:
+            rng = _rng(seed, 0, len(rounds))
+            reqs = draw(rng, per_round)
+            keep = _oracle_picks(rng, per_round, ORACLE_PER_PASS)
+            with pass_window() as w:
+                out = await closed_round(server, reqs, keep, cfg.clients)
+            rounds.append(w.elapsed)
+            closed.append(out.latencies)
+            records += out.records
+            _account(run, out, per_round)
+            if now() - t >= closed_s:
+                break
         rng = _rng(seed, 1, len(latencies))
         reqs = draw(rng, per_segment)
-        keep = _oracle_picks(rng, per_segment, cfg.oracle_per_pass)
+        keep = _oracle_picks(rng, per_segment, ORACLE_PER_PASS)
         with pass_window():
             out = await open_segment(server, reqs, keep, cfg.rate)
         latencies.append(out.latencies)
@@ -232,19 +240,8 @@ def measure(seed: int, seconds: float, import_s: float,
     run.metric("setup_s", setup_seconds(import_s, reps), "s")
     run.metric("pass_s", median(rounds), "s")
     run.metric("throughput_rps", sum(map(len, closed)) / sum(rounds), "1/s")
-    opened = [x for segment in latencies for x in segment]
-    level_metric(run, "latency_p50_ms", chunks(opened, GROUP), 0.50)
-    # Open-loop tails follow the machine's noisy spells (runs of the same
-    # code read a p99 of 4-12 ms), so the tail slots carry the closed
-    # loop's: each 512-request round's p90 and p98 level, median over the
-    # run's rounds, which such spells barely move.  The open loop's own
-    # tails stay in the notes and in the traced run.
-    level_metric(run, "latency_p90_ms", closed, 0.90)
-    level_metric(run, "latency_p99_ms", closed, 0.99)
-    run.notes.append(
-        f"latency_p90_ms/p99_ms are the closed loop's; open-loop p90 "
-        f"{quantile(opened, 0.90) * 1e3:.3f} ms, p99 "
-        f"{quantile(opened, 0.99) * 1e3:.3f} ms over {len(opened)}")
+    latency_metrics(run, chunks([x for segment in latencies
+                                 for x in segment], GROUP), TAIL_N)
     run.metric("peak_rss_mb", rss_mb(), "MB")
     run.notes.append(f"closed rounds: {len(rounds)}; open-loop rate "
                      f"{cfg.rate:g}/s, generator lag p99 "
@@ -263,7 +260,7 @@ async def _traced(seed: int, cfg: Config, run: Run):
     for i in range(3):  # warm-up, untraced, traced
         rng = _rng(seed, 0, i)
         reqs = draw(rng, per_round)
-        keep = _oracle_picks(rng, per_round, cfg.oracle_per_pass)
+        keep = _oracle_picks(rng, per_round, ORACLE_PER_PASS)
         b0 = server.batches
         with ExitStack() as stack:
             w = stack.enter_context(pass_window())
@@ -294,8 +291,6 @@ async def _traced(seed: int, cfg: Config, run: Run):
         "serve.plan_builds": server.session.plans.misses,
         "serve.singleflight_followers": stats["singleflight"]["followers"],
         "serve.generator_lag_p99_ms": quantile(open_out.lags, 0.99) * 1e3,
-        "serve.open_loop_p99_ms":
-            quantile(open_out.latencies, 0.99) * 1e3,
     })
     run.layers, run.tracer = out, traced.tracer()
     return served.records
